@@ -20,9 +20,10 @@
 // -workers sizes the parallel experiment engine (0 = one worker per
 // CPU core, 1 = serial); results are identical for any value. -json
 // additionally writes a machine-readable benchmark file with the
-// wall time and series of every experiment, the start of the repo's
-// performance trajectory across PRs. When the output file already
-// exists, experiments not re-run this invocation are carried over, so
+// wall time and series of every experiment, each block stamped with
+// the invocation that produced it (time, Go version, CPUs, workers,
+// flags, total wall time). When the output file already exists,
+// experiments not re-run this invocation are carried over, so
 // `-macload -json` merges its block into a full BENCH_exp.json
 // instead of truncating it. -diff compares every throughput series —
 // goodput and the scale harness's committed exchanges per wall-second
@@ -40,6 +41,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -62,20 +64,27 @@ const throughputRegressionTolerance = 0.15
 type benchExperiment struct {
 	ID     string     `json:"id"`
 	WallMS float64    `json:"wall_ms"`
+	Run    runStamp   `json:"run"`
 	Error  string     `json:"error,omitempty"`
 	Report exp.Report `json:"report"`
 }
 
+// runStamp describes the aquabench invocation that produced a block.
+// A merged bench file holds blocks from several invocations, so each
+// block carries its own.
+type runStamp struct {
+	Timestamp string  `json:"timestamp"`
+	GoVersion string  `json:"go_version"`
+	NumCPU    int     `json:"num_cpu"`
+	Workers   int     `json:"workers"`
+	Packets   int     `json:"packets"`
+	Seed      int64   `json:"seed"`
+	Quick     bool    `json:"quick"`
+	TotalMS   float64 `json:"total_ms"` // the whole invocation's wall time
+}
+
 // benchFile is the top-level -json document (BENCH_exp.json).
 type benchFile struct {
-	Timestamp   string            `json:"timestamp"`
-	GoVersion   string            `json:"go_version"`
-	NumCPU      int               `json:"num_cpu"`
-	Workers     int               `json:"workers"`
-	Packets     int               `json:"packets"`
-	Seed        int64             `json:"seed"`
-	Quick       bool              `json:"quick"`
-	TotalMS     float64           `json:"total_ms"`
 	Experiments []benchExperiment `json:"experiments"`
 }
 
@@ -163,8 +172,8 @@ func readBenchFile(path string) (benchFile, error) {
 
 // mergeBench carries prev's experiments into cur: entries re-run this
 // invocation keep their fresh results (in prev's position), entries
-// not re-run survive untouched, and brand-new IDs append in run order.
-// The header always describes the current invocation.
+// not re-run survive untouched, stamp included, and brand-new IDs
+// append in run order.
 func mergeBench(prev, cur benchFile) benchFile {
 	fresh := make(map[string]benchExperiment, len(cur.Experiments))
 	for _, e := range cur.Experiments {
@@ -269,6 +278,45 @@ func diffThroughput(ref, cur benchFile, tol float64) error {
 	return nil
 }
 
+// runBench runs the selected experiments, rendering each report to
+// out, and stamps every block with this invocation. failed reports
+// whether any experiment returned an error.
+func runBench(selected []string, cfg exp.RunConfig, out io.Writer) (bench benchFile, failed bool) {
+	stamp := runStamp{
+		Timestamp: time.Now().UTC().Format(time.RFC3339),
+		GoVersion: runtime.Version(),
+		NumCPU:    runtime.NumCPU(),
+		Workers:   cfg.Workers,
+		Packets:   cfg.Packets,
+		Seed:      cfg.Seed,
+		Quick:     cfg.Quick,
+	}
+	if stamp.Workers == 0 {
+		stamp.Workers = stamp.NumCPU
+	}
+	totalStart := time.Now()
+	for _, id := range selected {
+		start := time.Now()
+		rep, err := exp.Run(id, cfg)
+		wallMS := float64(time.Since(start).Microseconds()) / 1000
+		entry := benchExperiment{ID: id, WallMS: wallMS, Report: rep}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "aquabench: %s: %v\n", id, err)
+			entry.Error = err.Error()
+			failed = true
+		} else {
+			rep.Render(out)
+			fmt.Fprintf(out, "   [%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
+		}
+		bench.Experiments = append(bench.Experiments, entry)
+	}
+	stamp.TotalMS = float64(time.Since(totalStart).Microseconds()) / 1000
+	for i := range bench.Experiments {
+		bench.Experiments[i].Run = stamp
+	}
+	return bench, failed
+}
+
 func main() {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	all := flag.Bool("all", false, "run every experiment")
@@ -322,33 +370,7 @@ func main() {
 	}
 
 	cfg := exp.RunConfig{Packets: *packets, Seed: *seed, Quick: *quick, Workers: *workers}
-	bench := benchFile{
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		NumCPU:    runtime.NumCPU(),
-		Workers:   *workers,
-		Packets:   *packets,
-		Seed:      *seed,
-		Quick:     *quick,
-	}
-	failed := false
-	totalStart := time.Now()
-	for _, id := range selected {
-		start := time.Now()
-		rep, err := exp.Run(id, cfg)
-		wallMS := float64(time.Since(start).Microseconds()) / 1000
-		entry := benchExperiment{ID: id, WallMS: wallMS, Report: rep}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "aquabench: %s: %v\n", id, err)
-			entry.Error = err.Error()
-			failed = true
-		} else {
-			rep.Render(os.Stdout)
-			fmt.Printf("   [%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
-		}
-		bench.Experiments = append(bench.Experiments, entry)
-	}
-	bench.TotalMS = float64(time.Since(totalStart).Microseconds()) / 1000
+	bench, failed := runBench(selected, cfg, os.Stdout)
 
 	if *jsonOut {
 		outBench := bench
@@ -365,8 +387,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "aquabench: write %s: %v\n", *outPath, err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %s (%d experiments, total %.0f ms)\n",
-			*outPath, len(outBench.Experiments), bench.TotalMS)
+		fmt.Printf("wrote %s (%d experiments)\n", *outPath, len(outBench.Experiments))
 	}
 	if refBench != nil {
 		if err := diffThroughput(*refBench, bench, throughputRegressionTolerance); err != nil {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -134,6 +136,57 @@ func TestMergeBenchCarriesUnrunExperiments(t *testing.T) {
 	}
 	if got.Experiments[2].ID != "macsir" {
 		t.Fatalf("new experiment not appended: %+v", got.Experiments)
+	}
+}
+
+// TestMergedBlocksKeepTheirInvocationStamps runs two invocations with
+// different settings, merges the second into the first as -json does,
+// and checks through a JSON round trip that every block still
+// describes the invocation that produced it.
+func TestMergedBlocksKeepTheirInvocationStamps(t *testing.T) {
+	first, failed := runBench([]string{"fig19", "abl-macpreamble"}, exp.RunConfig{Quick: true, Seed: 1, Workers: 1}, io.Discard)
+	if failed {
+		t.Fatal("first invocation failed")
+	}
+	second, failed := runBench([]string{"abl-macpreamble", "fig18"}, exp.RunConfig{Quick: true, Seed: 7, Workers: 2}, io.Discard)
+	if failed {
+		t.Fatal("second invocation failed")
+	}
+	data, err := json.Marshal(mergeBench(first, second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var merged benchFile
+	if err := json.Unmarshal(data, &merged); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]runStamp{
+		"fig19":           first.Experiments[0].Run,
+		"abl-macpreamble": second.Experiments[0].Run,
+		"fig18":           second.Experiments[1].Run,
+	}
+	if len(merged.Experiments) != len(want) {
+		t.Fatalf("merged %d blocks, want %d", len(merged.Experiments), len(want))
+	}
+	for _, e := range merged.Experiments {
+		got := e.Run
+		if got != want[e.ID] {
+			t.Errorf("%s: stamp %+v, want %+v", e.ID, got, want[e.ID])
+		}
+		if got.Timestamp == "" || got.GoVersion == "" || got.NumCPU < 1 || got.TotalMS < e.WallMS {
+			t.Errorf("%s: incomplete stamp %+v (block wall %.3f ms)", e.ID, got, e.WallMS)
+		}
+	}
+	for id, seed := range map[string]int64{"fig19": 1, "abl-macpreamble": 7, "fig18": 7} {
+		if want[id].Seed != seed {
+			t.Errorf("%s: stamped seed %d, want %d", id, want[id].Seed, seed)
+		}
+	}
+	if w := want["fig19"].Workers; w != 1 {
+		t.Errorf("fig19: stamped %d workers, want 1", w)
+	}
+	if w := want["fig18"].Workers; w != 2 {
+		t.Errorf("fig18: stamped %d workers, want 2", w)
 	}
 }
 

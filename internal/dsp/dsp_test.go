@@ -3,6 +3,7 @@ package dsp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -244,5 +245,38 @@ func TestWindowShapes(t *testing.T) {
 	}
 	if Rectangular.String() != "rectangular" || Window(99).String() != "unknown" {
 		t.Error("Window.String")
+	}
+}
+
+func TestToneSumsMatchGoertzel(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	fs := 48000.0
+	x := randReal(20000, rng)
+	for _, f := range []float64{2000, 3000, 1234.5} {
+		at := make([]int, 40)
+		for i := range at {
+			at[i] = rng.Intn(len(x) + 1)
+		}
+		slices.Sort(at)
+		sums := ToneSums(x, f, fs, at)
+		for trial := 0; trial < 200; trial++ {
+			i, j := rng.Intn(len(at)), rng.Intn(len(at))
+			a, b := at[min(i, j)], at[max(i, j)]
+			got := CAbs2(sums[max(i, j)] - sums[min(i, j)])
+			want := GoertzelPower(x[a:b], f, fs)
+			if math.Abs(got-want) > 1e-9*(want+1) {
+				t.Fatalf("f=%g x[%d:%d]: |S(b)-S(a)|^2 = %g, Goertzel %g", f, a, b, got, want)
+			}
+		}
+		// A sum depends only on its index, not on which others were
+		// requested with it.
+		for k, idx := range at {
+			if one := ToneSums(x, f, fs, []int{idx}); one[0] != sums[k] {
+				t.Fatalf("f=%g: S(%d) = %v alone, %v in a batch", f, idx, one[0], sums[k])
+			}
+		}
+	}
+	if got := ToneSums(x, 2000, fs, nil); len(got) != 0 {
+		t.Fatalf("no indices: got %d sums", len(got))
 	}
 }

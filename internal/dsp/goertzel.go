@@ -41,3 +41,30 @@ func TonePowers(x []float64, freqs []float64, sampleRate float64) []float64 {
 	}
 	return out
 }
+
+// ToneSums returns the running single-bin DFT sums of x at freqHz,
+//
+//	S(k) = Σ_{i<k} x[i]·e^{−j2π·freqHz·i/sampleRate},
+//
+// sampled at each index of at, which must be ascending and within
+// [0, len(x)]. It makes one pass over x[:at[len(at)-1]]. For a < b,
+// |S(b) − S(a)|² is GoertzelPower(x[a:b], freqHz, sampleRate) up to
+// rounding, so the tone power of any window whose edges are in at
+// costs one subtraction. Every phasor is evaluated exactly with
+// math.Sincos, so the sums carry no oscillator drift, and S(k) is the
+// same for every at that contains k.
+func ToneSums(x []float64, freqHz, sampleRate float64, at []int) []complex128 {
+	out := make([]complex128, len(at))
+	w := 2 * math.Pi * freqHz / sampleRate
+	var re, im float64
+	i := 0
+	for j, k := range at {
+		for ; i < k; i++ {
+			s, c := math.Sincos(w * float64(i))
+			re += x[i] * c
+			im -= x[i] * s
+		}
+		out[j] = complex(re, im)
+	}
+	return out
+}

@@ -2,6 +2,8 @@ package phy
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"aquago/internal/dsp"
 )
@@ -78,36 +80,49 @@ func (b *Beacon) EncodeID(id DeviceID) ([]float64, error) {
 
 // Decode synchronizes on the sync pattern and demodulates nBits
 // payload bits from rx. It returns the bits and the detected start
-// offset; ok is false when the sync pattern cannot be located.
+// offset; ok is false when the sync pattern cannot be located. ok is
+// also false when the span the sync search reads, rx[:len(rx)-nBits*n]
+// with n = SymbolSamples(), holds a NaN or ±Inf sample: offsets are
+// scored from running tone sums, and one non-finite sample would
+// poison every sum after it.
 func (b *Beacon) Decode(rx []float64, nBits int) (bits []int, offset int, ok bool) {
 	n := b.SymbolSamples()
 	total := (len(beaconSync) + nBits) * n
-	if len(rx) < total {
+	if nBits < 0 || len(rx) < total {
 		return nil, 0, false
 	}
+	for _, v := range rx[:len(rx)-nBits*n] {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, 0, false
+		}
+	}
 	// Coarse sync: score the sync pattern at a grid of offsets.
-	bestOff, bestScore := -1, 0.0
 	step := n / 8
 	if step < 1 {
 		step = 1
 	}
+	coarse := make([]int, 0, (len(rx)-total)/step+1)
 	for off := 0; off+total <= len(rx); off += step {
-		score := b.syncScore(rx, off)
+		coarse = append(coarse, off)
+	}
+	bestOff, bestScore := -1, 0.0
+	for j, score := range b.syncScores(rx, coarse) {
 		if score > bestScore {
-			bestScore, bestOff = score, off
+			bestScore, bestOff = score, coarse[j]
 		}
 	}
 	if bestOff < 0 || bestScore < 0.55 {
 		return nil, 0, false
 	}
 	// Fine sync around the coarse peak.
+	fine := make([]int, 0, 2*step+1)
+	for off := max(bestOff-step, 0); off <= bestOff+step && off+total <= len(rx); off++ {
+		fine = append(fine, off)
+	}
 	fineBest, fineScore := bestOff, bestScore
-	for off := bestOff - step; off <= bestOff+step; off++ {
-		if off < 0 || off+total > len(rx) {
-			continue
-		}
-		if s := b.syncScore(rx, off); s > fineScore {
-			fineScore, fineBest = s, off
+	for j, score := range b.syncScores(rx, fine) {
+		if score > fineScore {
+			fineScore, fineBest = score, fine[j]
 		}
 	}
 	offset = fineBest
@@ -136,29 +151,60 @@ func (b *Beacon) DecodeAligned(rx []float64, offset, nBits int) ([]int, error) {
 	return bits, nil
 }
 
-// syncScore measures tone contrast over the sync pattern at the
-// candidate offset: mean of (P_expected - P_other)/(P_expected +
-// P_other) across sync bits. A matching beacon scores near +1; noise
-// (where the two tone powers are statistically equal) scores near 0,
-// so the 0.55 gate rejects it.
-func (b *Beacon) syncScore(rx []float64, off int) float64 {
+// syncScores measures tone contrast over the sync pattern at each
+// candidate offset in offs (ascending, each with room for the pattern
+// in rx): mean of (P_expected - P_other)/(P_expected + P_other) across
+// sync bits. A matching beacon scores near +1; noise (where the two
+// tone powers are statistically equal) scores near 0, so the 0.55 gate
+// rejects it.
+//
+// The tone powers of a sync window [a, b) are |S(b) - S(a)|² over the
+// running tone sums S of dsp.ToneSums, taken once per tone at only the
+// window edges off + i·n the offsets need, so a call costs O(len(rx))
+// per tone plus O(1) per offset. A sum at a given index does not
+// depend on which other edges were requested, so an offset scores the
+// same in every call: Decode's fine pass re-scores the coarse peak
+// exactly as the coarse pass did.
+func (b *Beacon) syncScores(rx []float64, offs []int) []float64 {
 	n := b.SymbolSamples()
-	var score float64
-	for i, bit := range beaconSync {
-		seg := rx[off+i*n : off+(i+1)*n]
-		p0 := dsp.GoertzelPower(seg, b.F0, float64(b.SampleRate))
-		p1 := dsp.GoertzelPower(seg, b.F1, float64(b.SampleRate))
-		tot := p0 + p1
-		if tot <= 0 {
-			continue
-		}
-		if bit == 0 {
-			score += (p0 - p1) / tot
-		} else {
-			score += (p1 - p0) / tot
+	edges := make([]int, 0, (len(beaconSync)+1)*len(offs))
+	for i := 0; i <= len(beaconSync); i++ {
+		for _, off := range offs {
+			edges = append(edges, off+i*n)
 		}
 	}
-	return score / float64(len(beaconSync))
+	slices.Sort(edges)
+	edges = slices.Compact(edges)
+	fs := float64(b.SampleRate)
+	s0 := dsp.ToneSums(rx, b.F0, fs, edges)
+	s1 := dsp.ToneSums(rx, b.F1, fs, edges)
+	// at[i] is the position in edges of off+i·n; it only moves forward
+	// as off ascends.
+	at := make([]int, len(beaconSync)+1)
+	scores := make([]float64, len(offs))
+	for j, off := range offs {
+		for i := range at {
+			for edges[at[i]] < off+i*n {
+				at[i]++
+			}
+		}
+		var score float64
+		for i, bit := range beaconSync {
+			p0 := dsp.CAbs2(s0[at[i+1]] - s0[at[i]])
+			p1 := dsp.CAbs2(s1[at[i+1]] - s1[at[i]])
+			tot := p0 + p1
+			if tot <= 0 {
+				continue
+			}
+			if bit == 0 {
+				score += (p0 - p1) / tot
+			} else {
+				score += (p1 - p0) / tot
+			}
+		}
+		scores[j] = score / float64(len(beaconSync))
+	}
+	return scores
 }
 
 // demodBit compares tone energies over one symbol.
