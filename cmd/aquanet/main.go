@@ -512,9 +512,9 @@ func runLoad(pt exp.MacLoadPoint, envName string) {
 	if res.MakespanS > 0 {
 		util = res.Sched.AirtimeS / res.MakespanS
 	}
-	fmt.Printf("scheduler   %d granted, %d committed, airtime %.1f s (util %.0f%%), peak concurrency %d on %d workers, conflict width %d\n",
+	fmt.Printf("scheduler   %d granted, %d committed, airtime %.1f s (util %.0f%%), peak concurrency %d on %d workers\n",
 		res.Sched.Granted, res.Sched.Committed, res.Sched.AirtimeS, 100*util,
-		res.Sched.MaxConcurrent, res.Sched.Workers, res.ConflictWidth)
+		res.Sched.MaxConcurrent, res.Sched.Workers)
 }
 
 // runRelay measures one bulk relay transfer, printing per-hop

@@ -5,6 +5,7 @@
 package audio
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -25,9 +26,9 @@ func WriteWAV(w io.Writer, samples []float64, sampleRate int) error {
 	binary.LittleEndian.PutUint32(hdr[4:8], 36+dataLen)
 	copy(hdr[8:12], "WAVE")
 	copy(hdr[12:16], "fmt ")
-	binary.LittleEndian.PutUint32(hdr[16:20], 16)           // fmt chunk size
-	binary.LittleEndian.PutUint16(hdr[20:22], 1)            // PCM
-	binary.LittleEndian.PutUint16(hdr[22:24], 1)            // mono
+	binary.LittleEndian.PutUint32(hdr[16:20], 16) // fmt chunk size
+	binary.LittleEndian.PutUint16(hdr[20:22], 1)  // PCM
+	binary.LittleEndian.PutUint16(hdr[22:24], 1)  // mono
 	binary.LittleEndian.PutUint32(hdr[24:28], uint32(sampleRate))
 	binary.LittleEndian.PutUint32(hdr[28:32], uint32(sampleRate*2)) // byte rate
 	binary.LittleEndian.PutUint16(hdr[32:34], 2)                    // block align
@@ -70,11 +71,17 @@ func ReadWAV(r io.Reader) ([]float64, int, error) {
 			}
 			return nil, 0, err
 		}
-		size := binary.LittleEndian.Uint32(chunk[4:8])
-		body := make([]byte, size+size%2) // chunks are word aligned
-		if _, err := io.ReadFull(r, body); err != nil {
-			return nil, 0, fmt.Errorf("audio: truncated chunk %q: %w", chunk[0:4], err)
+		// The declared size is untrusted: chunks are word aligned, so
+		// pad in 64 bits, and let the body grow only as bytes arrive.
+		size := int64(binary.LittleEndian.Uint32(chunk[4:8]))
+		var buf bytes.Buffer
+		if _, err := io.CopyN(&buf, r, size+size%2); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, 0, fmt.Errorf("audio: truncated chunk %q: %d of %d bytes: %w", chunk[0:4], buf.Len(), size, err)
 		}
+		body := buf.Bytes()
 		switch string(chunk[0:4]) {
 		case "fmt ":
 			if size < 16 {

@@ -3,8 +3,6 @@ package exp
 import (
 	"strings"
 	"testing"
-
-	"aquago/internal/modem"
 )
 
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
@@ -136,20 +134,5 @@ func TestFixedBandsMatchPaper(t *testing.T) {
 	// 60, 30 and 10 subcarriers (3 kHz, 1.5 kHz, 0.5 kHz).
 	if bands[0].Width() != 60 || bands[1].Width() != 30 || bands[2].Width() != 10 {
 		t.Fatalf("baseline widths: %d %d %d", bands[0].Width(), bands[1].Width(), bands[2].Width())
-	}
-}
-
-// TestTabRuntimeTimesEqualizerSolves pins that the equalizer row times
-// real Levinson solves: no call, in either of two back-to-back runs in
-// one process, may be answered by the solve cache.
-func TestTabRuntimeTimesEqualizerSolves(t *testing.T) {
-	hits0, _ := modem.EqualizerCacheStats()
-	for run := 0; run < 2; run++ {
-		if _, err := TabRuntime(RunConfig{Quick: true}); err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
-	}
-	if hits, _ := modem.EqualizerCacheStats(); hits != hits0 {
-		t.Fatalf("two TabRuntime runs hit the equalizer solve cache %d times, want 0", hits-hits0)
 	}
 }

@@ -142,10 +142,6 @@ type MacLoadResult struct {
 	// MakespanS is when the last attempt left the air (at least
 	// DurationS).
 	MakespanS float64
-	// ConflictWidth is the widest batch of mutually non-interfering
-	// sends the driver could hand the scheduler at once — the
-	// deterministic measure of the concurrency geometry allowed.
-	ConflictWidth int
 	// Sched snapshots the network's scheduler counters (Granted,
 	// Committed and AirtimeS are deterministic; MaxConcurrent is a
 	// wall-clock observation).
@@ -209,27 +205,6 @@ func buildSchedule(p MacLoadPoint) []loadMsg {
 	return out
 }
 
-// msgsConflict mirrors the scheduler's interference rule (sched.go)
-// for two scheduled sends: a shared endpoint always conflicts; with an
-// unlimited carrier-sense range everything does; with a finite range,
-// any cross-pair distance within it.
-func msgsConflict(a, b loadMsg, pos []aquago.Position, csRangeM float64) bool {
-	if a.node == b.node || a.node == b.dst || a.dst == b.node || a.dst == b.dst {
-		return true
-	}
-	if csRangeM <= 0 {
-		return true
-	}
-	for _, x := range [2]int{a.node, a.dst} {
-		for _, y := range [2]int{b.node, b.dst} {
-			if pos[x].DistanceTo(pos[y]) <= csRangeM {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // fullBandAirtime lazily computes the default full-band exchange
 // airtime — the harness's unit for converting target channel
 // utilization into per-node message rates.
@@ -242,13 +217,10 @@ var fullBandAirtime = sync.OnceValues(func() (float64, error) {
 })
 
 // RunMacLoadPoint drives one offered-load measurement on a live
-// Network. The driver replays the schedule in arrival order, handing
-// the conflict-graph scheduler the longest leading run of mutually
-// non-interfering sends as one concurrent batch (a batch of one when
-// everything shares a collision domain); batches preserve arrival
-// order, and within a batch the scheduler's own guarantee — mutually
-// non-interfering exchanges share no state — keeps the result
-// independent of goroutine interleaving and worker count.
+// Network. The blocking driver replays the schedule in arrival order
+// from one goroutine: each send advances its source's clock to the
+// arrival instant and runs to completion before the next starts. The
+// queued driver hands the same schedule to the transmit queues.
 func RunMacLoadPoint(p MacLoadPoint) (MacLoadResult, error) {
 	if err := p.Validate(); err != nil {
 		return MacLoadResult{}, err
@@ -316,11 +288,29 @@ func RunMacLoadPoint(p MacLoadPoint) (MacLoadResult, error) {
 		MakespanS:   p.DurationS,
 	}
 
-	var accMu sync.Mutex
 	var latencies []float64
-	var firstErr error
+	// tally accounts one finished send; endS is when its final attempt
+	// left the air.
+	tally := func(m loadMsg, sres aquago.SendResult, err error, endS float64) error {
+		switch {
+		case err == nil || errors.Is(err, aquago.ErrNoACK):
+			if err != nil {
+				res.NoACKs++
+			}
+			if sres.Delivered {
+				res.DeliveredMsgs++
+				if sres.Attempts > 0 {
+					latencies = append(latencies, endS-m.atS)
+				}
+			}
+		case errors.Is(err, aquago.ErrChannelBusy):
+			res.BusyDrops++
+		default:
+			return fmt.Errorf("macload: node %d -> %d at %.2fs: %w", m.node, m.dst, m.atS, err)
+		}
+		return nil
+	}
 	ctx := context.Background()
-
 	if p.Queued {
 		// Fire-and-forget driver: enqueue the whole schedule from this
 		// one goroutine in arrival order — the deterministic enqueue
@@ -356,98 +346,22 @@ func RunMacLoadPoint(p MacLoadPoint) (MacLoadResult, error) {
 			handles[i] = h
 		}
 		for i, h := range handles {
-			m := schedule[i]
 			sres, err := h.Wait(ctx)
-			switch {
-			case err == nil || errors.Is(err, aquago.ErrNoACK):
-				if errors.Is(err, aquago.ErrNoACK) {
-					res.NoACKs++
-				}
-				if sres.Delivered {
-					res.DeliveredMsgs++
-					if sres.Attempts > 0 {
-						latencies = append(latencies, h.EndS()-m.atS)
-					}
-				}
-			case errors.Is(err, aquago.ErrChannelBusy):
-				res.BusyDrops++
-			default:
-				return MacLoadResult{}, fmt.Errorf("macload: node %d -> %d at %.2fs: %w", m.node, m.dst, m.atS, err)
+			if err := tally(schedule[i], sres, err, h.EndS()); err != nil {
+				return MacLoadResult{}, err
 			}
 		}
-		// ConflictWidth stays 0: the queue's dispatch gate, not the
-		// prefix batcher, owns concurrency in queued mode.
-		probeMu.Lock()
-		if maxFinish > res.MakespanS {
-			res.MakespanS = maxFinish
-		}
-		probeMu.Unlock()
-		res.GoodputBPS = float64(res.DeliveredMsgs*messageBits) / res.MakespanS
-		_, res.CollisionFraction = net.CollisionStats()
-		res.Sched = net.SchedulerStats()
-		res.LatencyP50S = percentile(latencies, 0.50)
-		res.LatencyP90S = percentile(latencies, 0.90)
-		res.LatencyP99S = percentile(latencies, 0.99)
-		return res, nil
-	}
-
-	runOne := func(m loadMsg) {
-		nd := nodes[m.node]
-		nd.AdvanceClock(m.atS)
-		sres, err := nd.Send(ctx, aquago.DeviceID(m.dst), m.first, m.second)
-		accMu.Lock()
-		defer accMu.Unlock()
-		switch {
-		case err == nil || errors.Is(err, aquago.ErrNoACK):
-			if errors.Is(err, aquago.ErrNoACK) {
-				res.NoACKs++
+	} else {
+		for _, m := range schedule {
+			nd := nodes[m.node]
+			nd.AdvanceClock(m.atS)
+			sres, err := nd.Send(ctx, aquago.DeviceID(m.dst), m.first, m.second)
+			probeMu.Lock()
+			endS := lastFinish[nd.ID()]
+			probeMu.Unlock()
+			if err := tally(m, sres, err, endS); err != nil {
+				return MacLoadResult{}, err
 			}
-			if sres.Delivered {
-				res.DeliveredMsgs++
-				if sres.Attempts > 0 {
-					probeMu.Lock()
-					fin := lastFinish[nd.ID()]
-					probeMu.Unlock()
-					latencies = append(latencies, fin-m.atS)
-				}
-			}
-		case errors.Is(err, aquago.ErrChannelBusy):
-			res.BusyDrops++
-		default:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("macload: node %d -> %d at %.2fs: %w", m.node, m.dst, m.atS, err)
-			}
-		}
-	}
-
-	for i := 0; i < len(schedule); {
-		// The batch is the longest leading run of pairwise
-		// non-interfering sends: strict prefix batching preserves
-		// arrival order globally.
-		j := i + 1
-	grow:
-		for ; j < len(schedule); j++ {
-			for k := i; k < j; k++ {
-				if msgsConflict(schedule[k], schedule[j], positions, p.CSRangeM) {
-					break grow
-				}
-			}
-		}
-		if w := j - i; w > res.ConflictWidth {
-			res.ConflictWidth = w
-		}
-		var wg sync.WaitGroup
-		for _, m := range schedule[i:j] {
-			wg.Add(1)
-			go func(m loadMsg) {
-				defer wg.Done()
-				runOne(m)
-			}(m)
-		}
-		wg.Wait()
-		i = j
-		if firstErr != nil {
-			return MacLoadResult{}, firstErr
 		}
 	}
 
@@ -701,8 +615,8 @@ func macLoadReport(cfg RunConfig, sw macLoadSweep) (Report, error) {
 		rep.Series = append(rep.Series, s)
 		lastIdx := len(reuse) - 1
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
-			"spatial reuse: %d pods reach %.1f bps vs %.1f bps for one (conflict width %d — non-interfering pods run concurrently)",
-			sw.reusePods[lastIdx], reuse[lastIdx].GoodputBPS, reuse[0].GoodputBPS, reuse[lastIdx].ConflictWidth))
+			"spatial reuse: %d pods reach %.1f bps vs %.1f bps for one (non-interfering pods transmit concurrently)",
+			sw.reusePods[lastIdx], reuse[lastIdx].GoodputBPS, reuse[0].GoodputBPS))
 	}
 	return rep, nil
 }

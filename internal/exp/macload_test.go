@@ -12,8 +12,8 @@ import (
 // tinyMacLoadSweep is the golden regression workload: small enough to
 // run repeatedly under -race, wide enough to cross every moving part —
 // both contention modes, two carrier-sense variants, an overload
-// point, and a multi-pod spatial-reuse case that actually exercises
-// batched concurrent sends.
+// point, and a multi-pod spatial-reuse case whose pods overlap on the
+// virtual timeline.
 func tinyMacLoadSweep() macLoadSweep {
 	return macLoadSweep{
 		envNodes:   []int{4},
@@ -191,34 +191,54 @@ func TestMacLoadPointValidate(t *testing.T) {
 	}
 }
 
-// TestMacLoadSpatialReuseBatchesPods: with two pods beyond each
-// other's carrier-sense range, the driver must find conflict-free
-// batches wider than one send — the deterministic witness that the
-// conflict-graph scheduler was actually handed concurrent work.
-func TestMacLoadSpatialReuseBatchesPods(t *testing.T) {
-	res, err := RunMacLoadPoint(MacLoadPoint{
-		Pods: 2, PodSize: 3,
-		RateHz:       0.3,
-		DurationS:    12,
-		Mode:         aquago.EnvelopeContention,
-		CarrierSense: true,
-		CSRangeM:     40,
-		Seed:         7,
-		Retries:      -1,
-	})
-	if err != nil {
-		t.Fatal(err)
+// loadPin is one load point's deterministic outcome, floats as bits.
+type loadPin struct {
+	delivered, offered        int
+	goodputBits, makespanBits uint64
+	granted, committed        int
+	airtimeBits               uint64
+}
+
+func pinOf(delivered, offered int, goodput, makespan float64, sched aquago.SchedulerStats) loadPin {
+	return loadPin{
+		delivered: delivered, offered: offered,
+		goodputBits: math.Float64bits(goodput), makespanBits: math.Float64bits(makespan),
+		granted: sched.Granted, committed: sched.Committed,
+		airtimeBits: math.Float64bits(sched.AirtimeS),
 	}
-	if res.ConflictWidth < 2 {
-		t.Fatalf("two isolated pods never batched concurrently (width %d): %+v", res.ConflictWidth, res)
+}
+
+// TestMacLoadPodsMatchRecordedResults pins the blocking driver's
+// outcome for 1, 2 and 3 isolated pods of three at seed 7, bit for
+// bit, to values recorded when the driver still batched
+// non-interfering sends onto concurrent goroutines. Any drift in the
+// driver, the scheduler or the exchange shows here first.
+func TestMacLoadPodsMatchRecordedResults(t *testing.T) {
+	want := map[int]loadPin{
+		// 9/9 delivered, makespan 12 s, airtime 3.366 s.
+		1: {9, 9, 0x4028000000000000, 0x4028000000000000, 9, 9, 0x400aeccccccccccd},
+		// 16/16 delivered, makespan 12 s, airtime 6.593 s.
+		2: {16, 16, 0x4035555555555555, 0x4028000000000000, 17, 17, 0x401a5ede8ca11bfd},
+		// 26/26 delivered at 27.91 bps, makespan 14.905 s.
+		3: {26, 26, 0x403be8d70d6cf0b4, 0x402dcf83c4a9968f, 27, 27, 0x4024aa19f0fb38a7},
 	}
-	if res.Sched.Granted < res.Sched.Committed || res.Sched.Committed == 0 {
-		t.Fatalf("scheduler counters inconsistent: %+v", res.Sched)
-	}
-	if res.Sched.AirtimeS <= 0 {
-		t.Fatalf("committed airtime not accounted: %+v", res.Sched)
-	}
-	if res.DeliveredMsgs == 0 {
-		t.Fatalf("nothing delivered at light load: %+v", res)
+	for pods := 1; pods <= 3; pods++ {
+		res, err := RunMacLoadPoint(MacLoadPoint{
+			Pods: pods, PodSize: 3,
+			RateHz:       0.3,
+			DurationS:    12,
+			Mode:         aquago.EnvelopeContention,
+			CarrierSense: true,
+			CSRangeM:     40,
+			Seed:         7,
+			Retries:      -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := pinOf(res.DeliveredMsgs, res.OfferedMsgs, res.GoodputBPS, res.MakespanS, res.Sched)
+		if got != want[pods] {
+			t.Errorf("%d pods: got %+v, want %+v\n%+v", pods, got, want[pods], res)
+		}
 	}
 }

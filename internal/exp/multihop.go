@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"aquago"
 )
@@ -21,9 +20,7 @@ func init() {
 // store-and-forward bulk transfer cost in goodput and end-to-end
 // latency as hop count grows, and how does a relay topology carry
 // offered load? The harness reuses the PR 4 substrate: Poisson
-// arrival schedules from loadgen.go, and the same deterministic
-// conflict-free batch driver, widened from single exchanges to whole
-// relay paths.
+// arrival schedules from loadgen.go, replayed in arrival order.
 
 // maxBulkBytes bounds one bulk transfer so a misconfigured CLI cannot
 // queue an unbounded packet train.
@@ -215,7 +212,7 @@ type MultiHopLoadPoint struct {
 	// Topo picks the geometry: "line" (A nodes in a row), "grid"
 	// (A x B lattice), or "pods" (A pods of B nodes, podGapM apart —
 	// mostly-direct routes, but several independent collision domains
-	// for the batch driver to run concurrently).
+	// whose exchanges overlap on the virtual timeline).
 	Topo string
 	A, B int
 	// SpacingM separates adjacent nodes (line, grid).
@@ -233,9 +230,6 @@ type MultiHopLoadPoint struct {
 	Seed int64
 	// Retries is each node's extra attempt budget (< 0 = default).
 	Retries int
-	// Workers sizes the network's scheduler pool (results are
-	// worker-count independent).
-	Workers int
 	// Env is the deployment site (zero value = Bridge).
 	Env aquago.Environment
 }
@@ -335,59 +329,22 @@ type MultiHopLoadResult struct {
 	LatencyP50S, LatencyP90S, LatencyP99S float64
 	// MakespanS is when the last relayed delivery completed.
 	MakespanS float64
-	// ConflictWidth is the widest batch of mutually non-interfering
-	// relay paths the driver handed the scheduler at once.
-	ConflictWidth int
 	// Sched snapshots the network's scheduler counters.
 	Sched aquago.SchedulerStats
 }
 
-// relayMsg is one scheduled relayed message with its resolved path
-// (and the path pre-flattened to node indices for conflict checks —
-// device IDs equal join order here).
+// relayMsg is one scheduled relayed message with its resolved path.
 type relayMsg struct {
 	arrival
 	dst           int
 	path          []aquago.DeviceID
-	pathIdx       []int
 	first, second uint8
 }
 
-// pathNodes flattens a device path back to node indices.
-func pathNodes(path []aquago.DeviceID) []int {
-	out := make([]int, len(path))
-	for i, id := range path {
-		out[i] = int(id)
-	}
-	return out
-}
-
-// pathsConflict widens msgsConflict from single exchanges to whole
-// relay paths: two transfers conflict when any node appears on both
-// paths, or (finite carrier-sense range) any cross-path node distance
-// falls within it. The rule must over-approximate sched.go's per-hop
-// rule for every hop pair of the two walks — and it does, because
-// every hop's endpoints are path nodes.
-func pathsConflict(a, b []int, pos []aquago.Position, csRangeM float64) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
-			}
-			if csRangeM <= 0 || pos[x].DistanceTo(pos[y]) <= csRangeM {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // RunMultiHopLoadPoint drives Poisson offered load over a relay
-// topology: the driver replays arrivals in schedule order, resolving
-// each message's route up front, and hands the network the longest
-// leading run of transfers whose *whole paths* are mutually
-// non-interfering as one concurrent batch — the macload batch driver
-// widened to path footprints, with the same determinism argument.
+// topology: the driver resolves each message's route up front, then
+// replays the arrivals in schedule order from one goroutine, each
+// relayed transfer running to completion before the next starts.
 func RunMultiHopLoadPoint(p MultiHopLoadPoint) (MultiHopLoadResult, error) {
 	if err := p.Validate(); err != nil {
 		return MultiHopLoadResult{}, err
@@ -405,7 +362,6 @@ func RunMultiHopLoadPoint(p MultiHopLoadPoint) (MultiHopLoadResult, error) {
 		aquago.WithNetworkSeed(p.Seed),
 		aquago.WithContentionMode(p.Mode),
 		aquago.WithCSRange(p.CSRangeM),
-		aquago.WithNetworkWorkers(p.Workers),
 	}
 	if p.Retries >= 0 {
 		opts = append(opts, aquago.WithNetworkRetries(p.Retries))
@@ -427,7 +383,7 @@ func RunMultiHopLoadPoint(p MultiHopLoadPoint) (MultiHopLoadResult, error) {
 	// among each source's *routable* peers (a pod topology partitions
 	// the audibility graph — offering a message across a partition
 	// would measure the topology, not the relay), routes resolved up
-	// front so batching sees full path footprints.
+	// front.
 	reachable := make([][]int, len(nodes))
 	for src := range nodes {
 		for dst := range nodes {
@@ -472,20 +428,15 @@ func RunMultiHopLoadPoint(p MultiHopLoadPoint) (MultiHopLoadResult, error) {
 			return MultiHopLoadResult{}, err
 		}
 		m.path = path
-		m.pathIdx = pathNodes(path)
 		schedule = append(schedule, m)
 	}
 
-	var accMu sync.Mutex
 	var latencies []float64
-	var firstErr error
 	makespan := p.DurationS
 	ctx := context.Background()
-	runOne := func(m relayMsg) {
+	for _, m := range schedule {
 		nodes[m.node].AdvanceClock(m.atS)
 		rres, err := net.SendVia(ctx, m.path, m.first, m.second)
-		accMu.Lock()
-		defer accMu.Unlock()
 		switch {
 		case err == nil:
 			res.DeliveredMsgs++
@@ -499,39 +450,7 @@ func RunMultiHopLoadPoint(p MultiHopLoadPoint) (MultiHopLoadResult, error) {
 		case errors.Is(err, aquago.ErrNoACK):
 			res.NoACKs++
 		default:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("multihop: %d -> %d at %.2fs: %w", m.node, m.dst, m.atS, err)
-			}
-		}
-	}
-
-	for i := 0; i < len(schedule); {
-		// Longest leading run of pairwise non-interfering paths:
-		// strict prefix batching preserves arrival order globally.
-		j := i + 1
-	grow:
-		for ; j < len(schedule); j++ {
-			for k := i; k < j; k++ {
-				if pathsConflict(schedule[k].pathIdx, schedule[j].pathIdx, positions, p.CSRangeM) {
-					break grow
-				}
-			}
-		}
-		if w := j - i; w > res.ConflictWidth {
-			res.ConflictWidth = w
-		}
-		var wg sync.WaitGroup
-		for _, m := range schedule[i:j] {
-			wg.Add(1)
-			go func(m relayMsg) {
-				defer wg.Done()
-				runOne(m)
-			}(m)
-		}
-		wg.Wait()
-		i = j
-		if firstErr != nil {
-			return MultiHopLoadResult{}, firstErr
+			return MultiHopLoadResult{}, fmt.Errorf("multihop: %d -> %d at %.2fs: %w", m.node, m.dst, m.atS, err)
 		}
 	}
 
@@ -599,7 +518,7 @@ func defaultMultiHopSweep(quick bool) multiHopSweep {
 // MultiHop is the multi-hop relay harness: bulk-transfer goodput and
 // end-to-end latency versus hop count (per contention mode), and
 // relayed goodput versus offered load over line, grid and pod
-// topologies on the batch driver.
+// topologies.
 func MultiHop(cfg RunConfig) (Report, error) {
 	cfg = cfg.withDefaults()
 	return multiHopReport(cfg, defaultMultiHopSweep(cfg.Quick))
@@ -778,9 +697,9 @@ func multiHopReport(cfg RunConfig, sw multiHopSweep) (Report, error) {
 			meanHops = float64(last.TotalHops) / float64(last.DeliveredMsgs)
 		}
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
-			"%s: top load %.1f bps offered -> %.1f bps delivered end-to-end (%d/%d msgs, mean %.1f hops, %d busy-drops, %d no-ACK, p90 %.1f s, conflict width %d)",
+			"%s: top load %.1f bps offered -> %.1f bps delivered end-to-end (%d/%d msgs, mean %.1f hops, %d busy-drops, %d no-ACK, p90 %.1f s)",
 			label, last.OfferedBPS, last.GoodputBPS, last.DeliveredMsgs, last.OfferedMsgs,
-			meanHops, last.BusyDrops, last.NoACKs, last.LatencyP90S, last.ConflictWidth))
+			meanHops, last.BusyDrops, last.NoACKs, last.LatencyP90S))
 	}
 	return rep, nil
 }

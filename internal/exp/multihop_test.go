@@ -12,7 +12,7 @@ import (
 // tinyMultiHopSweep is the relay golden workload: small enough for
 // repeated -race runs, wide enough to cross both contention modes, a
 // genuine multi-hop line, a grid, and a pod topology whose isolated
-// collision domains hand the batch driver concurrent work.
+// collision domains overlap on the virtual timeline.
 func tinyMultiHopSweep() multiHopSweep {
 	return multiHopSweep{
 		envHops:      []int{1, 3},
@@ -189,29 +189,37 @@ func TestMultiHopLoadPointValidate(t *testing.T) {
 	}
 }
 
-// TestMultiHopPodsBatchConcurrently: isolated pods must hand the
-// relay batch driver conflict-free work wider than one transfer — the
-// deterministic witness that relayed sends exercised the scheduler's
-// spatial reuse.
-func TestMultiHopPodsBatchConcurrently(t *testing.T) {
-	res, err := RunMultiHopLoadPoint(MultiHopLoadPoint{
-		Topo: "pods", A: 2, B: 3,
-		RateHz:    0.3,
-		DurationS: 12,
-		Mode:      aquago.EnvelopeContention,
-		Seed:      7,
-		Retries:   -1,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestMultiHopPodsMatchRecordedResults pins the relay load driver's
+// outcome for 1, 2 and 3 isolated pods of three (30 m carrier-sense
+// default) at seed 7, bit for bit, to values recorded when the driver
+// still batched non-interfering paths onto concurrent goroutines.
+func TestMultiHopPodsMatchRecordedResults(t *testing.T) {
+	want := map[int]loadPin{
+		// 9/9 delivered, makespan 12 s, airtime 3.975 s.
+		1: {9, 9, 0x4028000000000000, 0x4028000000000000, 10, 10, 0x400fccac083126ea},
+		// 16/16 delivered, makespan 12 s, airtime 5.983 s.
+		2: {16, 16, 0x4035555555555555, 0x4028000000000000, 16, 16, 0x4017eeeeeeeeeeef},
+		// 26/26 delivered at 27.91 bps, makespan 14.905 s.
+		3: {26, 26, 0x403be8d70d6cf0b4, 0x402dcf83c4a9968f, 27, 27, 0x4024aa19f0fb38a7},
 	}
-	if res.ConflictWidth < 2 {
-		t.Fatalf("two isolated pods never batched concurrently (width %d): %+v", res.ConflictWidth, res)
-	}
-	if res.DeliveredMsgs == 0 || res.NoRoutes != 0 {
-		t.Fatalf("pod-local traffic should deliver with zero NoRoutes: %+v", res)
-	}
-	if res.Sched.Committed == 0 || res.Sched.AirtimeS <= 0 {
-		t.Fatalf("scheduler counters not accounted: %+v", res.Sched)
+	for pods := 1; pods <= 3; pods++ {
+		res, err := RunMultiHopLoadPoint(MultiHopLoadPoint{
+			Topo: "pods", A: pods, B: 3,
+			RateHz:    0.3,
+			DurationS: 12,
+			Mode:      aquago.EnvelopeContention,
+			Seed:      7,
+			Retries:   -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NoRoutes != 0 {
+			t.Errorf("%d pods: pod-local traffic found %d unroutable pairs", pods, res.NoRoutes)
+		}
+		got := pinOf(res.DeliveredMsgs, res.OfferedMsgs, res.GoodputBPS, res.MakespanS, res.Sched)
+		if got != want[pods] {
+			t.Errorf("%d pods: got %+v, want %+v\n%+v", pods, got, want[pods], res)
+		}
 	}
 }

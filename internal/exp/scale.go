@@ -199,6 +199,34 @@ func (r ScaleResult) DeterministicKey() string {
 		r.TotalHops, r.MakespanS, r.Sched.Granted, r.Sched.Committed, r.Sched.AirtimeS)
 }
 
+// pathsConflict is the scale driver's copy of the scheduler's
+// interference rule (sched.go), widened from single exchanges to whole
+// relay paths: two transfers conflict when any node appears on both
+// paths or, with a finite carrier-sense range, any cross-path node
+// distance falls within it. Every hop's endpoints are path nodes, so
+// the rule over-approximates sched.go's for every hop pair of the two
+// walks.
+//
+// It is the last copy of the rule outside sched.go. It stays because
+// scale's gated committed-exchanges-per-wall-second figure rewards
+// driving non-interfering transfers concurrently: a serial driver cut
+// it from ~47 to ~29 at 1,000 nodes on two cores. ROADMAP item 1(c)
+// re-aims that gate at admission, routing and motion-epoch cost; once
+// it has, this batcher and the copy can go.
+func pathsConflict(a, b []int, pos []aquago.Position, csRangeM float64) bool {
+	for _, x := range a {
+		for _, y := range b {
+			if x == y {
+				return true
+			}
+			if csRangeM <= 0 || pos[x].DistanceTo(pos[y]) <= csRangeM {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // RunScalePoint builds the harbor and relays the cross-harbor
 // traffic, timing the build-out, the route resolution and the drive.
 func RunScalePoint(p ScalePoint) (ScaleResult, error) {

